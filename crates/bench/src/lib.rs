@@ -1,21 +1,25 @@
-//! Shared plumbing for the `repro-*` binaries.
+//! Shared plumbing for `redbin-repro`, the table/figure reproduction
+//! driver (see [`repro`]).
 //!
-//! All binaries accept the same flags, parsed strictly — an unknown flag
-//! or a bad value exits non-zero instead of being silently ignored:
+//! Flags are parsed strictly — an unknown flag, a bad value, or a flag the
+//! subcommand would ignore exits non-zero instead of being silently
+//! accepted:
 //!
 //! * `--scale test|small|full` (or `REDBIN_SCALE`) — workload size;
-//! * `--json PATH` — write the machine-readable result document;
-//! * `--server HOST:PORT` (or `REDBIN_SERVER`) — client mode: supported
-//!   binaries submit their experiments to a running `redbin-served`
-//!   instead of simulating locally;
-//! * `--profile` — `redbin-repro all` only: also write a `BENCH_5.json`
-//!   throughput profile (wall-clock, sims/sec, instrs/sec per figure);
-//! * `--seeds N` / `--start-seed S` — `redbin-repro fuzz` only: run the
-//!   torture seeds `S..S+N` through the differential oracle;
-//! * `--verify-static` — `redbin-repro fuzz` only: run every torture
-//!   program through the static safety verifier (`redbin-analyze
-//!   programs`) before handing it to the oracle, failing loudly with the
-//!   seed and a disassembly listing if one is unprovable.
+//! * `--json PATH` — write the machine-readable result document (not
+//!   `workload-profile`);
+//! * `--server HOST:PORT` (or `REDBIN_SERVER`) — client mode: the
+//!   experiment commands and `all` submit their jobs to a running
+//!   `redbin-served` instead of simulating locally (not the local-only
+//!   [`repro::LOCAL_ONLY`] commands);
+//! * `--profile` — `all` only: also write a `BENCH_5.json` throughput
+//!   profile (wall-clock, sims/sec, instrs/sec per figure);
+//! * `--seeds N` / `--start-seed S` — `fuzz` only: run the torture seeds
+//!   `S..S+N` through the differential oracle;
+//! * `--verify-static` — `fuzz` only: run every torture program through
+//!   the static safety verifier (`redbin-analyze programs`) before handing
+//!   it to the oracle, failing loudly with the seed and a disassembly
+//!   listing if one is unprovable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +30,7 @@ use redbin::telemetry::{Clock, MetricsRegistry};
 
 pub mod repro;
 
-/// The flags shared by every repro binary.
+/// The flags of a `redbin-repro` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
     /// Workload scale (`None` = the paper's `full`).
@@ -51,6 +55,20 @@ impl BenchArgs {
     pub fn effective_scale(&self) -> Scale {
         self.scale.unwrap_or(Scale::Full)
     }
+
+    /// `fuzz`: the torture seeds `--start-seed .. --start-seed + --seeds`
+    /// (defaults 0 and 200).
+    ///
+    /// # Errors
+    ///
+    /// Names both flags when the end of the range does not fit in a `u64`.
+    pub fn seed_range(&self) -> Result<std::ops::Range<u64>, String> {
+        let start = self.start_seed.unwrap_or(0);
+        let n = self.seeds.unwrap_or(200);
+        start.checked_add(n).map(|end| start..end).ok_or_else(|| {
+            format!("--start-seed {start:#x} plus --seeds {n} runs past the last 64-bit seed")
+        })
+    }
 }
 
 /// Parses a scale name.
@@ -67,14 +85,15 @@ pub fn parse_scale(value: &str) -> Result<Scale, String> {
     }
 }
 
-/// Strictly parses a repro binary's argument list (without the program
-/// name). Unknown flags are errors — a typo like `--sclae` must not
-/// silently run the full-size default for hours.
+/// Strictly parses the argument list of subcommand `command` (everything
+/// after the subcommand). Unknown flags are errors — a typo like `--sclae`
+/// must not silently run the full-size default for hours — and so are
+/// flags `command` would ignore.
 ///
 /// # Errors
 ///
 /// Returns a usage-style message naming the offending argument.
-pub fn parse_cli(args: &[String]) -> Result<BenchArgs, String> {
+pub fn parse_cli(command: &str, args: &[String]) -> Result<BenchArgs, String> {
     let mut out = BenchArgs::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -117,20 +136,29 @@ pub fn parse_cli(args: &[String]) -> Result<BenchArgs, String> {
             }
         }
     }
+    if out.profile && command != "all" {
+        return Err(format!("--profile only applies to `all`, not `{command}`"));
+    }
+    if command != "fuzz" && (out.seeds.is_some() || out.start_seed.is_some() || out.verify_static)
+    {
+        return Err(format!(
+            "--seeds, --start-seed and --verify-static only apply to `fuzz`, not `{command}`"
+        ));
+    }
+    if out.server.is_some() && repro::LOCAL_ONLY.contains(&command) {
+        return Err(format!("`{command}` runs locally only and takes no --server"));
+    }
+    if out.json.is_some() && command == "workload-profile" {
+        return Err("`workload-profile` writes no --json document".to_string());
+    }
     Ok(out)
 }
 
-/// Parses argv + environment, exiting with status 2 and a message on any
-/// invalid input (the strict behavior the PR-2 satellite requires).
-pub fn cli_args() -> BenchArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    cli_args_from(&argv)
-}
-
-/// [`cli_args`] over an explicit argument list (the `redbin-repro`
-/// multicommand strips its subcommand first and parses the rest here).
-pub fn cli_args_from(argv: &[String]) -> BenchArgs {
-    let mut args = match parse_cli(argv) {
+/// Parses the arguments of subcommand `command` plus the environment,
+/// exiting with status 2 and a message on any invalid input.
+/// `REDBIN_SERVER` only applies to commands that can run on a server.
+pub fn cli_args_from(command: &str, argv: &[String]) -> BenchArgs {
+    let mut args = match parse_cli(command, argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -148,23 +176,12 @@ pub fn cli_args_from(argv: &[String]) -> BenchArgs {
             }
         }
     }
-    if args.server.is_none() {
+    if args.server.is_none() && !repro::LOCAL_ONLY.contains(&command) {
         if let Ok(addr) = std::env::var("REDBIN_SERVER") {
             args.server = Some(addr);
         }
     }
     args
-}
-
-/// The workload scale from argv/environment (strict; exits non-zero on
-/// unknown scales or unrecognized flags).
-pub fn scale_from_args() -> Scale {
-    cli_args().effective_scale()
-}
-
-/// The standard experiment configuration for the repro binaries.
-pub fn experiment_config() -> ExperimentConfig {
-    experiment_config_for(&cli_args())
 }
 
 /// The experiment configuration for an already-parsed argument set.
@@ -210,16 +227,6 @@ pub fn emit_json(
     eprintln!("json: wrote {}", path.display());
 }
 
-/// Total simulated (retired) instructions behind an IPC figure, summed over
-/// every benchmark and machine model — the throughput denominator.
-pub fn figure_instructions(fig: &redbin::experiments::IpcFigure) -> u64 {
-    fig.rows
-        .iter()
-        .flat_map(|r| r.stats.iter())
-        .map(|s| s.retired)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,62 +237,77 @@ mod tests {
 
     #[test]
     fn parses_known_flags_in_both_spellings() {
-        let a = parse_cli(&argv(&["--scale", "test", "--json", "out.json"])).unwrap();
+        let a = parse_cli("figure9", &argv(&["--scale", "test", "--json", "out.json"])).unwrap();
         assert_eq!(a.scale, Some(Scale::Test));
         assert_eq!(a.json.as_deref(), Some(std::path::Path::new("out.json")));
-        let b = parse_cli(&argv(&["--scale=small", "--server=127.0.0.1:7878"])).unwrap();
+        let b = parse_cli("all", &argv(&["--scale=small", "--server=127.0.0.1:7878"])).unwrap();
         assert_eq!(b.scale, Some(Scale::Small));
         assert_eq!(b.server.as_deref(), Some("127.0.0.1:7878"));
-        assert_eq!(parse_cli(&[]).unwrap(), BenchArgs::default());
-        assert_eq!(parse_cli(&[]).unwrap().effective_scale(), Scale::Full);
+        assert_eq!(parse_cli("all", &[]).unwrap(), BenchArgs::default());
+        assert_eq!(parse_cli("all", &[]).unwrap().effective_scale(), Scale::Full);
     }
 
     #[test]
     fn unknown_scales_are_errors_not_full_fallback() {
         // The old behavior warned and silently ran `full`; this is the
         // regression test that it now fails instead.
-        let e = parse_cli(&argv(&["--scale", "huge"])).unwrap_err();
+        let e = parse_cli("all", &argv(&["--scale", "huge"])).unwrap_err();
         assert!(e.contains("unknown scale"), "{e}");
         assert!(parse_scale("FULL").is_err(), "names are case-sensitive");
-        assert!(parse_cli(&argv(&["--scale"])).is_err(), "missing value");
+        assert!(parse_cli("all", &argv(&["--scale"])).is_err(), "missing value");
     }
 
     #[test]
     fn profile_flag_parses_and_takes_no_value() {
-        let a = parse_cli(&argv(&["--profile", "--scale", "test"])).unwrap();
+        let a = parse_cli("all", &argv(&["--profile", "--scale", "test"])).unwrap();
         assert!(a.profile);
         assert_eq!(a.scale, Some(Scale::Test));
-        assert!(!parse_cli(&[]).unwrap().profile);
-        assert!(parse_cli(&argv(&["--profile=yes"])).is_err());
+        assert!(!parse_cli("all", &[]).unwrap().profile);
+        assert!(parse_cli("all", &argv(&["--profile=yes"])).is_err());
+        let e = parse_cli("figure9", &argv(&["--profile"])).unwrap_err();
+        assert!(e.contains("only applies to `all`"), "{e}");
     }
 
     #[test]
     fn seed_flags_parse_decimal_and_hex() {
-        let a = parse_cli(&argv(&["--seeds", "200", "--start-seed", "0x2a"])).unwrap();
+        let a = parse_cli("fuzz", &argv(&["--seeds", "200", "--start-seed", "0x2a"])).unwrap();
         assert_eq!(a.seeds, Some(200));
         assert_eq!(a.start_seed, Some(0x2a));
-        let b = parse_cli(&argv(&["--seeds=1"])).unwrap();
+        let b = parse_cli("fuzz", &argv(&["--seeds=1"])).unwrap();
         assert_eq!(b.seeds, Some(1));
         assert_eq!(b.start_seed, None);
-        assert!(parse_cli(&argv(&["--seeds", "many"])).is_err());
-        assert!(parse_cli(&argv(&["--start-seed", "-1"])).is_err());
-        assert!(parse_cli(&argv(&["--seeds"])).is_err(), "missing value");
+        assert!(parse_cli("fuzz", &argv(&["--seeds", "many"])).is_err());
+        assert!(parse_cli("fuzz", &argv(&["--start-seed", "-1"])).is_err());
+        assert!(parse_cli("fuzz", &argv(&["--seeds"])).is_err(), "missing value");
+        // The range must not wrap past u64::MAX, and its last seed is usable.
+        let top = BenchArgs { start_seed: Some(u64::MAX), seeds: Some(2), ..Default::default() };
+        let e = top.seed_range().unwrap_err();
+        assert!(e.contains("--start-seed") && e.contains("--seeds"), "{e}");
+        let last = BenchArgs { start_seed: Some(u64::MAX - 1), seeds: Some(1), ..top };
+        assert_eq!(last.seed_range(), Ok(u64::MAX - 1..u64::MAX));
+        assert!(parse_cli("figure9", &argv(&["--seeds", "3"])).is_err());
     }
 
     #[test]
     fn verify_static_flag_parses_and_takes_no_value() {
-        let a = parse_cli(&argv(&["--verify-static", "--seeds", "10"])).unwrap();
+        let a = parse_cli("fuzz", &argv(&["--verify-static", "--seeds", "10"])).unwrap();
         assert!(a.verify_static);
         assert_eq!(a.seeds, Some(10));
-        assert!(!parse_cli(&[]).unwrap().verify_static);
-        assert!(parse_cli(&argv(&["--verify-static=yes"])).is_err());
+        assert!(!parse_cli("fuzz", &[]).unwrap().verify_static);
+        assert!(parse_cli("fuzz", &argv(&["--verify-static=yes"])).is_err());
+        assert!(parse_cli("table3", &argv(&["--verify-static"])).is_err());
     }
 
     #[test]
     fn unrecognized_flags_are_rejected() {
-        let e = parse_cli(&argv(&["--sclae", "test"])).unwrap_err();
+        let e = parse_cli("all", &argv(&["--sclae", "test"])).unwrap_err();
         assert!(e.contains("unknown argument"), "{e}");
-        assert!(parse_cli(&argv(&["stray"])).is_err());
-        assert!(parse_cli(&argv(&["--json=a", "--frobnicate"])).is_err());
+        assert!(parse_cli("all", &argv(&["stray"])).is_err());
+        assert!(parse_cli("all", &argv(&["--json=a", "--frobnicate"])).is_err());
+        // Flags the subcommand would ignore are rejected too.
+        for command in repro::LOCAL_ONLY {
+            assert!(parse_cli(command, &argv(&["--server", "127.0.0.1:7878"])).is_err());
+        }
+        assert!(parse_cli("workload-profile", &argv(&["--json", "p.json"])).is_err());
     }
 }

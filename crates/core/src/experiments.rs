@@ -2,9 +2,9 @@
 //!
 //! Every driver runs the relevant simulations (in parallel across
 //! benchmarks) and returns a structured result; [`crate::report`] renders
-//! them as text. The `repro-*` binaries in `redbin-bench` are thin wrappers
-//! over these functions, so library users can regenerate any figure
-//! programmatically.
+//! them as text. [`crate::wire::JobSpec::execute`] maps each experiment
+//! kind to its driver; `redbin-repro` and `redbin-served` both run jobs
+//! through it, and library users can call the drivers directly.
 
 use redbin_isa::class::LatencyClass;
 use redbin_isa::format::Table1Counts;

@@ -22,7 +22,7 @@
 //!   the fuzz and whole-program suites.
 //! * [`report`] — plain-text rendering of experiment results.
 //! * [`json`] — dependency-free structured JSON output for every experiment
-//!   (the `--json` flag of the `repro-*` binaries).
+//!   (the `--json` flag of `redbin-repro`).
 //! * [`pool`] — the scoped worker pool behind the parallel fan-out (shared
 //!   with the `redbin-serve` batch service).
 //! * [`wire`] — newline-delimited request/response envelopes for the

@@ -9,6 +9,32 @@ use redbin_sim::CoreModel;
 use redbin_workload::Benchmark;
 
 use crate::experiments::{Figure13, Figure14, IpcFigure, ProgramsReport, Table3Row};
+use crate::wire::JobOutput;
+
+/// Renders any job result as the text report `redbin-repro` prints. The
+/// paper's tables and figures get their own layouts; a [`JobOutput::Body`]
+/// prints as JSON.
+pub fn render(output: &JobOutput) -> String {
+    match output {
+        JobOutput::IpcFigure { number, fig } => format!(
+            "{}\n{}",
+            render_ipc_figure(fig, &format!("Figure {number}.")),
+            render_ipc_bars(fig)
+        ),
+        JobOutput::Figure13(fig) => render_figure13(fig),
+        JobOutput::Figure14(fig) => render_figure14(fig),
+        JobOutput::Table1 { merged, per } => render_table1(merged, per),
+        JobOutput::Table3(rows) => render_table3(rows),
+        JobOutput::Delays { unit_gate, fanout_aware } => format!(
+            "§3.4 critical-path delays (unit-gate model):\n{unit_gate}\n\
+             fan-out-aware model (load factor 0.2):\n{fanout_aware}\n\
+             paper reference points: RB ≈ 3× faster than a 64-bit CLA;\n\
+             RB→TC converter ≈ 2.7× slower than the RB adder (SPICE, 0.5 µm).\n"
+        ),
+        JobOutput::Programs(rep) => render_programs(rep),
+        JobOutput::Body(body) => body.to_pretty(),
+    }
+}
 
 /// Renders a Figure 9–12 style table: one row per benchmark, one column per
 /// machine, harmonic means at the bottom, plus the paper's headline ratios.

@@ -14,11 +14,17 @@
 //! with equal keys are the same computation, so the server can serve the
 //! second from cache byte-identically.
 
+use redbin_gates::netlist::DelayModel;
+use redbin_gates::report::DelayReport;
+use redbin_isa::format::Table1Counts;
 use redbin_sim::hash::Fnv64;
+use redbin_sim::stats::SimStats;
 use redbin_sim::{BypassLevels, CoreModel, DatapathMode, MachineConfig, SteeringPolicy};
 use redbin_workload::{Benchmark, Scale, Suite};
 
-use crate::experiments::{self, ExperimentConfig};
+use crate::experiments::{
+    self, ExperimentConfig, Figure13, Figure14, IpcFigure, ProgramsReport, Table3Row,
+};
 use crate::json::{self, Json};
 
 /// Version of the wire protocol this module speaks.
@@ -748,8 +754,20 @@ impl JobSpec {
         })
     }
 
-    /// Runs the job and returns its result body — exactly the document the
-    /// matching `repro-*` binary would emit under `"result"`.
+    /// Runs the job and returns its result body: [`JobOutput::to_json`] of
+    /// [`JobSpec::execute`] — exactly the document `redbin-repro <kind>
+    /// --json` writes under `"result"`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`JobSpec::execute`].
+    pub fn run(&self, threads: usize, cancelled: &std::sync::atomic::AtomicBool) -> Json {
+        self.execute(threads, cancelled).to_json()
+    }
+
+    /// Runs the job and returns its typed result. This is the one place
+    /// that decides which experiment a kind runs: `redbin-served` and
+    /// `redbin-repro` both come through here.
     ///
     /// `cancelled` is polled by cancellable kinds (currently [`ExperimentKind::Sleep`],
     /// every 10 ms); simulator experiments run to completion once started —
@@ -759,44 +777,48 @@ impl JobSpec {
     ///
     /// Panics if a simulation faults (propagated to the worker, which
     /// reports the job as failed).
-    pub fn run(&self, threads: usize, cancelled: &std::sync::atomic::AtomicBool) -> Json {
+    pub fn execute(
+        &self,
+        threads: usize,
+        cancelled: &std::sync::atomic::AtomicBool,
+    ) -> JobOutput {
         use std::sync::atomic::Ordering;
         let cfg = self.experiment_config(threads);
+        let ipc_figure = |number, fig| JobOutput::IpcFigure { number, fig };
         match self.kind {
-            ExperimentKind::Figure9 => json::ipc_figure(&experiments::figure9(&cfg)),
-            ExperimentKind::Figure10 => json::ipc_figure(&experiments::figure10(&cfg)),
-            ExperimentKind::Figure11 => json::ipc_figure(&experiments::figure11(&cfg)),
-            ExperimentKind::Figure12 => json::ipc_figure(&experiments::figure12(&cfg)),
-            ExperimentKind::Figure13 => json::figure13(&experiments::figure13(&cfg)),
-            ExperimentKind::Figure14 => json::figure14(&experiments::figure14(&cfg)),
+            ExperimentKind::Figure9 => ipc_figure(9, experiments::figure9(&cfg)),
+            ExperimentKind::Figure10 => ipc_figure(10, experiments::figure10(&cfg)),
+            ExperimentKind::Figure11 => ipc_figure(11, experiments::figure11(&cfg)),
+            ExperimentKind::Figure12 => ipc_figure(12, experiments::figure12(&cfg)),
+            ExperimentKind::Figure13 => JobOutput::Figure13(experiments::figure13(&cfg)),
+            ExperimentKind::Figure14 => JobOutput::Figure14(experiments::figure14(&cfg)),
             ExperimentKind::Table1 => {
                 let (merged, per) = experiments::table1(&cfg);
-                json::table1(&merged, &per)
+                JobOutput::Table1 { merged, per }
             }
-            ExperimentKind::Table3 => json::table3(&experiments::table3()),
-            ExperimentKind::Programs => json::programs(&experiments::programs(&cfg)),
-            ExperimentKind::Delays => json::delay_report(&experiments::delay_report()),
+            ExperimentKind::Table3 => JobOutput::Table3(experiments::table3()),
+            ExperimentKind::Programs => JobOutput::Programs(experiments::programs(&cfg)),
+            ExperimentKind::Delays => JobOutput::Delays {
+                unit_gate: experiments::delay_report(),
+                fanout_aware: DelayReport::compute(
+                    DelayModel::FanoutAware { load_factor: 0.2 },
+                    &[8, 16, 32, 64, 128],
+                ),
+            },
             ExperimentKind::Point => {
                 let benches = self.point.map(|p| p.suite.benchmarks()).unwrap_or_default();
-                match self.machine_configs().into_iter().next() {
+                JobOutput::Body(match self.machine_configs().into_iter().next() {
                     Some(machine) => json::point(&experiments::run_point(
                         &machine,
                         &benches,
                         self.scale,
                         threads,
                     )),
-                    None => {
-                        // A point job without a buildable machine can only
-                        // be constructed by bypassing `from_json`; report
-                        // it structurally rather than panicking a worker.
-                        let mut o = Json::object();
-                        o.set(
-                            "error",
-                            Json::Str("point job has no buildable machine".into()),
-                        );
-                        o
-                    }
-                }
+                    // A point job without a buildable machine can only be
+                    // constructed by bypassing `from_json`; report it
+                    // structurally rather than panicking a worker.
+                    None => error_body("point job has no buildable machine".into()),
+                })
             }
             ExperimentKind::Custom => {
                 // Assembly and safety were validated at submit time; decode
@@ -809,12 +831,8 @@ impl JobSpec {
                     .and_then(|src| {
                         redbin_workload::text::parse(src).map_err(|e| e.to_string())
                     });
-                match parsed {
-                    Err(e) => {
-                        let mut o = Json::object();
-                        o.set("error", Json::Str(e));
-                        o
-                    }
+                JobOutput::Body(match parsed {
+                    Err(e) => error_body(e),
                     Ok(prog) => {
                         let prog = prog.with_name("custom");
                         let mut o = Json::object();
@@ -834,7 +852,7 @@ impl JobSpec {
                         o.set("models", per_model);
                         o
                     }
-                }
+                })
             }
             ExperimentKind::Sleep => {
                 let mut remaining = self.sleep_ms;
@@ -846,7 +864,7 @@ impl JobSpec {
                 let mut o = Json::object();
                 o.set("slept-ms", Json::UInt(self.sleep_ms - remaining));
                 o.set("cancelled", Json::Bool(cancelled.load(Ordering::Relaxed)));
-                o
+                JobOutput::Body(o)
             }
         }
     }
@@ -859,6 +877,113 @@ impl JobSpec {
             _ => None,
         }
     }
+}
+
+/// What a [`JobSpec`] computed, before it is serialized: the typed result
+/// behind both the served body ([`JobOutput::to_json`]) and the text
+/// report ([`crate::report::render`]).
+#[derive(Debug, Clone)]
+pub enum JobOutput {
+    /// Figures 9–12.
+    IpcFigure {
+        /// The paper's figure number (9–12).
+        number: u32,
+        /// Per-benchmark IPC of the four machines.
+        fig: IpcFigure,
+    },
+    /// Figure 13: the bypass-case distribution.
+    Figure13(Figure13),
+    /// Figure 14: the limited-bypass sweep.
+    Figure14(Figure14),
+    /// Table 1: the dynamic instruction mix.
+    Table1 {
+        /// Counts over every benchmark.
+        merged: Table1Counts,
+        /// Counts per benchmark.
+        per: Vec<(Benchmark, Table1Counts)>,
+    },
+    /// Table 3: class latencies per machine.
+    Table3(Vec<Table3Row>),
+    /// §3.4: the gate-level delay tables under both delay models.
+    Delays {
+        /// The unit-gate model.
+        unit_gate: DelayReport,
+        /// The fan-out-aware model (load factor 0.2).
+        fanout_aware: DelayReport,
+    },
+    /// The whole-program suite.
+    Programs(ProgramsReport),
+    /// The JSON body of a kind with no paper table: point, custom and
+    /// sleep jobs, and the structured error of a job that could not run.
+    Body(Json),
+}
+
+impl JobOutput {
+    /// The wire result body.
+    pub fn to_json(&self) -> Json {
+        match self {
+            JobOutput::IpcFigure { fig, .. } => json::ipc_figure(fig),
+            JobOutput::Figure13(fig) => json::figure13(fig),
+            JobOutput::Figure14(fig) => json::figure14(fig),
+            JobOutput::Table1 { merged, per } => json::table1(merged, per),
+            JobOutput::Table3(rows) => json::table3(rows),
+            JobOutput::Delays { unit_gate, fanout_aware } => {
+                let mut o = Json::object();
+                o.set("unit-gate", json::delay_report(unit_gate));
+                o.set("fanout-aware", json::delay_report(fanout_aware));
+                o
+            }
+            JobOutput::Programs(rep) => json::programs(rep),
+            JobOutput::Body(body) => body.clone(),
+        }
+    }
+
+    /// Total simulated (retired, plus emulated for the whole programs)
+    /// instructions behind a paper experiment, where it reports them.
+    pub fn instructions(&self) -> Option<u64> {
+        fn retired<'a>(stats: impl IntoIterator<Item = &'a SimStats>) -> u64 {
+            stats.into_iter().map(|s| s.retired).sum()
+        }
+        match self {
+            JobOutput::IpcFigure { fig, .. } => {
+                Some(retired(fig.rows.iter().flat_map(|r| &r.stats)))
+            }
+            JobOutput::Table1 { merged, .. } => Some(merged.total()),
+            JobOutput::Programs(rep) => Some(
+                retired(rep.rows.iter().flat_map(|r| &r.stats))
+                    + rep.rows.iter().map(|r| r.emulated).sum::<u64>(),
+            ),
+            JobOutput::Figure13(_)
+            | JobOutput::Figure14(_)
+            | JobOutput::Table3(_)
+            | JobOutput::Delays { .. }
+            | JobOutput::Body(_) => None,
+        }
+    }
+
+    /// Individual simulator/emulator runs behind a paper experiment — the
+    /// denominator of `redbin-repro all --profile`'s sims-per-second.
+    /// Zero for the static experiments (`table3`, `delays`) and bodies.
+    pub fn simulations(&self) -> u64 {
+        let n = match self {
+            JobOutput::IpcFigure { fig, .. } => fig.rows.iter().map(|r| r.stats.len()).sum(),
+            JobOutput::Figure13(fig) => fig.rows.len(),
+            // Bypass config × both widths × all twenty benchmarks.
+            JobOutput::Figure14(fig) => fig.rows.len() * 2 * Benchmark::all().len(),
+            JobOutput::Table1 { per, .. } => per.len(),
+            // One emulator run plus four simulated machines per program.
+            JobOutput::Programs(rep) => rep.rows.len() * 5,
+            JobOutput::Table3(_) | JobOutput::Delays { .. } | JobOutput::Body(_) => 0,
+        };
+        n as u64
+    }
+}
+
+/// The structured result of a job that could not run.
+fn error_body(message: String) -> Json {
+    let mut o = Json::object();
+    o.set("error", Json::Str(message));
+    o
 }
 
 /// Where a job stands in its lifecycle.

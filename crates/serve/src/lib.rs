@@ -14,7 +14,7 @@
 //!   ([`redbin::wire::JobSpec::canonical_key`]), so identical submissions
 //!   are served byte-identically without recomputation.
 //! * [`client`] — a blocking client (the `redbin-submit` binary, and the
-//!   `--server` client mode of `repro-all`).
+//!   `--server` client mode of `redbin-repro`).
 //!
 //! See `SERVING.md` at the repository root for the wire protocol and an
 //! end-to-end example.
