@@ -12,8 +12,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Runs `n` independent jobs on a small thread pool, preserving order.
 ///
 /// `f(i)` is called exactly once for each `i in 0..n`, from `threads`
-/// workers (clamped to `1..=n`). The returned vector has `f(i)` at index
-/// `i` — output order never depends on scheduling.
+/// workers (clamped to `1..=n`). The calling thread is worker 0, so the
+/// pool spawns `threads - 1` helper threads, and none at all for
+/// `threads = 1`. The returned vector has `f(i)` at index `i` — output
+/// order never depends on scheduling.
 ///
 /// Each worker accumulates `(index, result)` pairs in its own local
 /// buffer — there is no shared lock on the result path (the previous
@@ -26,7 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Propagates panics from the job function: if any `f(i)` panics, the
 /// panic resurfaces on the caller's thread once the scope joins (no
 /// deadlock, no silently missing results). When several jobs panic, the
-/// first spawned worker's panic wins.
+/// caller's own panic wins; if the caller's jobs all returned, the panic
+/// of the earliest-spawned helper wins.
 pub fn run_jobs<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -34,27 +37,27 @@ where
 {
     let next = AtomicUsize::new(0);
     let workers = threads.clamp(1, n.max(1));
+    let work = || {
+        let mut local: Vec<(usize, T)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        local
+    };
     let locals = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        // A panic here unwinds out of the scope, which joins the helpers
+        // first and then re-raises this thread's payload.
         let mut locals = Vec::with_capacity(workers);
-        for h in handles {
+        locals.push(work());
+        for h in helpers {
             match h.join() {
                 Ok(local) => locals.push(local),
-                // Re-raise the worker's own panic payload on the caller's
+                // Re-raise the helper's own panic payload on the caller's
                 // thread (joining first keeps the scope from re-raising).
                 Err(payload) => std::panic::resume_unwind(payload),
             }
@@ -77,6 +80,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     #[test]
     fn preserves_order_at_every_worker_count() {
@@ -127,5 +133,51 @@ mod tests {
             msg.contains("exploded") || msg.contains("panicked"),
             "unexpected panic payload: {msg:?}"
         );
+    }
+
+    /// The distinct threads `f` ran on during one `run_jobs(n, threads, f)`.
+    fn threads_used(n: usize, threads: usize) -> HashSet<ThreadId> {
+        let seen = Mutex::new(HashSet::new());
+        run_jobs(n, threads, |i| {
+            // Long enough that every helper gets a chance to take a job.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            seen.lock().expect("no job panics").insert(std::thread::current().id());
+            i
+        });
+        seen.into_inner().expect("no job panics")
+    }
+
+    #[test]
+    fn one_thread_runs_every_job_on_the_caller() {
+        let used = threads_used(16, 1);
+        assert_eq!(used, HashSet::from([std::thread::current().id()]));
+    }
+
+    #[test]
+    fn k_threads_means_at_most_k_distinct_threads_caller_included() {
+        for k in [2, 3, 4] {
+            let used = threads_used(24, k);
+            assert!(used.len() <= k, "{k} threads asked, {} used", used.len());
+        }
+        // More threads than jobs is clamped to one per job.
+        assert!(threads_used(2, 8).len() <= 2);
+    }
+
+    #[test]
+    fn the_callers_panic_wins_over_a_helpers() {
+        let caller = std::thread::current().id();
+        let result = std::panic::catch_unwind(|| {
+            // Each worker panics on its first job, and the caller always
+            // gets one: the helper stops after at most one of the four.
+            run_jobs(4, 2, |i| {
+                if std::thread::current().id() == caller {
+                    panic!("caller job {i}");
+                }
+                panic!("helper job {i}");
+            })
+        });
+        let err = result.expect_err("panic must propagate");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("caller job"), "unexpected winner: {msg:?}");
     }
 }

@@ -6,6 +6,9 @@
 //!               [--retry-after-secs N] [--cache-entries N]
 //! ```
 //!
+//! `--job-threads N` is shared by the jobs running at once: each gets
+//! `max(1, N / running)` threads for its benchmark fan-out.
+//!
 //! Prints `listening on <addr>` once ready (scripts wait for that line),
 //! serves until it receives SIGTERM/SIGINT or a `shutdown` envelope, then
 //! drains every accepted job before exiting. See SERVING.md for the
@@ -55,7 +58,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: redbin-served [--addr HOST:PORT] [--workers N] [--queue N] \
          [--job-threads N] [--default-deadline-ms N] [--retry-after-secs N] \
-         [--cache-entries N]"
+         [--cache-entries N]\n\
+         \x20 --job-threads N  simulation threads shared by the jobs running at once; \
+         each gets max(1, N / running)"
     );
     std::process::exit(2)
 }

@@ -1,9 +1,11 @@
 //! A blocking client for the `redbin-served` wire protocol.
 //!
-//! Each request opens a fresh connection, sends one envelope line, and
-//! reads one response line — the protocol is stateless, so this keeps the
-//! client trivially robust against server restarts (the content-addressed
-//! job ids stay valid across them as long as the cache is warm).
+//! [`Client::run_to_completion`] opens one connection per job and sends
+//! the job's submit, polls and fetch over it, one envelope line out and
+//! one response line back each. Every other call opens a fresh connection
+//! for its one exchange. The protocol is stateless, so a job's id stays
+//! valid across connections and server restarts (as long as the cache is
+//! warm); a connection that breaks mid-job returns [`ClientError::Io`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -91,6 +93,56 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// One open connection to the server.
+struct Connection {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Connection {
+    fn open(addr: &str, io_timeout: Duration) -> Result<Connection, ClientError> {
+        let mut addrs = addr
+            .to_socket_addrs()
+            .map_err(|e| ClientError::Protocol(format!("bad address `{addr}`: {e}")))?;
+        let addr = addrs
+            .next()
+            .ok_or_else(|| ClientError::Protocol(format!("address `{addr}` resolves to nothing")))?;
+        let stream = TcpStream::connect_timeout(&addr, io_timeout)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Ok(Connection {
+            writer: stream.try_clone()?,
+            reader: BufReader::new(stream),
+        })
+    }
+
+    /// Sends one request and reads one response. The envelope goes out in
+    /// a single write: a separate write of its newline would wait on
+    /// Nagle's algorithm for the server's delayed ACK (~40 ms).
+    fn exchange(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let mut out = request.to_line();
+        out.push('\n');
+        self.writer.write_all(out.as_bytes())?;
+        let mut line = String::new();
+        self.reader.read_line(&mut line)?;
+        if line.is_empty() {
+            return Err(ClientError::Protocol("server closed without replying".into()));
+        }
+        Response::from_line(&line).map_err(|e| ClientError::Protocol(e.to_string()))
+    }
+}
+
+/// The body of a `fetch` reply.
+fn fetched_body(reply: Response) -> Result<Json, ClientError> {
+    match reply {
+        Response::Result { body, .. } => Ok(body),
+        Response::Error { message } => Err(ClientError::Server(message)),
+        other => Err(ClientError::Protocol(format!(
+            "unexpected reply to fetch: {other:?}"
+        ))),
+    }
+}
+
 /// A blocking protocol client bound to one server address.
 #[derive(Debug, Clone)]
 pub struct Client {
@@ -116,33 +168,14 @@ impl Client {
         &self.addr
     }
 
-    /// Sends one request and reads one response.
+    /// Sends one request over a fresh connection and reads one response.
     ///
     /// # Errors
     ///
     /// [`ClientError::Io`] on socket failure, [`ClientError::Protocol`] on
     /// an undecodable reply.
     pub fn request(&self, request: &Request) -> Result<Response, ClientError> {
-        let mut addrs = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| ClientError::Protocol(format!("bad address `{}`: {e}", self.addr)))?;
-        let addr = addrs
-            .next()
-            .ok_or_else(|| ClientError::Protocol(format!("address `{}` resolves to nothing", self.addr)))?;
-        let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        let mut writer = stream.try_clone()?;
-        writer.write_all(request.to_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line)?;
-        if line.is_empty() {
-            return Err(ClientError::Protocol("server closed without replying".into()));
-        }
-        Response::from_line(&line).map_err(|e| ClientError::Protocol(e.to_string()))
+        Connection::open(&self.addr, self.io_timeout)?.exchange(request)
     }
 
     /// Submits a job.
@@ -203,15 +236,9 @@ impl Client {
     ///
     /// [`ClientError::Server`] if the job is unknown or has no result.
     pub fn fetch(&self, job: &str) -> Result<Json, ClientError> {
-        match self.request(&Request::Fetch {
+        fetched_body(self.request(&Request::Fetch {
             job: job.to_string(),
-        })? {
-            Response::Result { body, .. } => Ok(body),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected reply to fetch: {other:?}"
-            ))),
-        }
+        })?)
     }
 
     /// Fetches the server's statistics document.
@@ -262,8 +289,9 @@ impl Client {
         }
     }
 
-    /// The full submit→poll→fetch cycle: submits (respecting `retry-after`
-    /// backpressure), polls until terminal, and fetches the result.
+    /// The full submit→poll→fetch cycle over one connection: submits
+    /// (respecting `retry-after` backpressure), polls until terminal, and
+    /// fetches the result.
     ///
     /// Returns `(job id, result body, served from cache at submit)`.
     ///
@@ -278,9 +306,14 @@ impl Client {
         overall_timeout: Duration,
     ) -> Result<(String, Json, bool), ClientError> {
         let give_up = Deadline::after(overall_timeout);
+        let mut conn = Connection::open(&self.addr, self.io_timeout)?;
         // Submit, backing off on explicit backpressure.
         let (job, cache_hit, mut state) = loop {
-            match self.submit(spec.clone(), deadline_ms)? {
+            let submit = Request::Submit {
+                spec: spec.clone(),
+                deadline_ms,
+            };
+            match conn.exchange(&submit)? {
                 Response::Accepted { job, cache_hit, state } => break (job, cache_hit, state),
                 Response::RetryAfter { seconds } => {
                     if give_up.expired() {
@@ -304,7 +337,8 @@ impl Client {
                 return Err(ClientError::Timeout(format!("job {job} still {}", state.name())));
             }
             std::thread::sleep(self.poll_interval);
-            state = match self.poll(&job)? {
+            let poll = Request::Poll { job: job.clone() };
+            state = match conn.exchange(&poll)? {
                 Response::Status { state, error, .. } => {
                     if state.is_terminal() && state != JobState::Done {
                         return Err(ClientError::JobFailed {
@@ -330,7 +364,7 @@ impl Client {
                 message: "terminal without result".into(),
             });
         }
-        let body = self.fetch(&job)?;
+        let body = fetched_body(conn.exchange(&Request::Fetch { job: job.clone() })?)?;
         Ok((job, body, cache_hit))
     }
 }

@@ -2,27 +2,32 @@
 //!
 //! Architecture (all std, no external dependencies):
 //!
-//! * an **accept loop** (non-blocking, polled) hands each connection to a
+//! * an **accept loop** blocks in `accept` and hands each connection to a
 //!   scoped handler thread speaking the newline-delimited envelope
-//!   protocol of [`redbin::wire`];
+//!   protocol of [`redbin::wire`]. A connection carries any number of
+//!   request lines, each at most [`MAX_REQUEST_LINE`] bytes; the client
+//!   sends a whole job's submit, polls and fetch over one. The loop is
+//!   not polled: draining wakes the blocked `accept` with one loopback
+//!   connection to the listener's own address, which the loop drops;
 //! * a **bounded queue** feeds a fixed **worker pool**; a full queue
 //!   answers `submit` with an explicit `retry-after` envelope instead of
 //!   blocking the connection (backpressure, never a hang);
 //! * results land in the **content-addressed cache** ([`crate::cache`]),
 //!   so a resubmission of the same fully-resolved configuration is served
 //!   `Done` immediately and fetches byte-identically;
-//! * a **reaper** tick expires queued jobs whose deadline passed and sets
-//!   the cancellation flag of late running jobs (cooperatively honored —
-//!   synthetic sleep jobs stop within ~10 ms; simulator experiments run
-//!   to completion and are then marked expired without poisoning the
-//!   cache);
-//! * **graceful shutdown** — a `shutdown` envelope or an external signal
-//!   flag (SIGTERM in the binary) — stops intake, drains every accepted
-//!   job, and only then lets [`Server::run`] return.
+//! * a **reaper** tick (every 25 ms) expires queued jobs whose deadline
+//!   passed and sets the cancellation flag of late running jobs
+//!   (cooperatively honored — synthetic sleep jobs stop within ~10 ms;
+//!   simulator experiments run to completion and are then marked expired
+//!   without poisoning the cache);
+//! * **graceful shutdown** — a `shutdown` envelope, or an external signal
+//!   flag (SIGTERM in the binary) that the reaper turns into a drain on its
+//!   next tick — stops intake, drains every accepted job, and only then
+//!   lets [`Server::run`] return.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,6 +40,13 @@ use redbin::wire::{JobSpec, JobState, Request, Response};
 
 use crate::cache::ResultCache;
 
+/// The longest request line a connection may send, newline excluded. A
+/// longer line is answered with an `error` envelope naming this limit and
+/// the connection is closed, so one unterminated line costs the server at
+/// most this much memory. The largest shipped program is under 5 KB of
+/// assembly.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Tuning knobs for a server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -43,8 +55,10 @@ pub struct ServeConfig {
     /// Maximum *queued* (not yet running) jobs before `submit` gets
     /// `retry-after`.
     pub queue_capacity: usize,
-    /// Threads each job's internal benchmark fan-out may use
-    /// ([`redbin::pool::run_jobs`]).
+    /// Threads the internal benchmark fan-out ([`redbin::pool::run_jobs`])
+    /// may use, split between the jobs running at once: a job gets
+    /// `max(1, job_threads / running)`, where `running` counts the running
+    /// jobs when it starts, itself included. A lone job gets all of them.
     pub job_threads: usize,
     /// Deadline applied to submissions that carry none (0 = unlimited).
     pub default_deadline_ms: u64,
@@ -104,6 +118,12 @@ struct Counters {
     completed: u64,
     failed: u64,
     expired: u64,
+    /// Connections handed to a handler thread.
+    accepted: u64,
+    /// Failed `accept`s the loop skipped (see [`AcceptFailure`]).
+    accept_errors: u64,
+    /// Connections closed for a line over [`MAX_REQUEST_LINE`].
+    oversized: u64,
 }
 
 #[derive(Debug)]
@@ -118,6 +138,8 @@ struct Inner {
 
 struct Shared {
     cfg: ServeConfig,
+    /// Where [`begin_drain`] connects to wake the blocked accept loop.
+    wake: SocketAddr,
     inner: Mutex<Inner>,
     work: Condvar,
     started: Clock,
@@ -127,6 +149,30 @@ struct Shared {
     /// execution time). Counters and gauges are point-in-time snapshots of
     /// [`Inner`] and are added at render time.
     metrics: Mutex<MetricsRegistry>,
+}
+
+impl Shared {
+    fn new(cfg: ServeConfig, wake: SocketAddr) -> Shared {
+        let mut metrics = MetricsRegistry::new();
+        metrics.register_histogram("job-queue-ms", DEFAULT_TIME_BOUNDS_MS);
+        metrics.register_histogram("job-service-ms", DEFAULT_TIME_BOUNDS_MS);
+        Shared {
+            inner: Mutex::new(Inner {
+                queue: VecDeque::new(),
+                jobs: HashMap::new(),
+                cache: ResultCache::new(cfg.cache_capacity),
+                counters: Counters::default(),
+                busy: 0,
+                draining: false,
+            }),
+            cfg,
+            wake,
+            work: Condvar::new(),
+            started: Clock::now(),
+            completed: Mutex::new(VecDeque::new()),
+            metrics: Mutex::new(metrics),
+        }
+    }
 }
 
 /// Locks the shared state, recovering from poisoning: one panicking
@@ -171,28 +217,10 @@ impl Server {
     /// Propagates socket errors.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let cache_capacity = cfg.cache_capacity;
-        let mut metrics = MetricsRegistry::new();
-        metrics.register_histogram("job-queue-ms", DEFAULT_TIME_BOUNDS_MS);
-        metrics.register_histogram("job-service-ms", DEFAULT_TIME_BOUNDS_MS);
+        let wake = wake_address(listener.local_addr()?);
         Ok(Server {
             listener,
-            shared: Arc::new(Shared {
-                cfg,
-                inner: Mutex::new(Inner {
-                    queue: VecDeque::new(),
-                    jobs: HashMap::new(),
-                    cache: ResultCache::new(cache_capacity),
-                    counters: Counters::default(),
-                    busy: 0,
-                    draining: false,
-                }),
-                work: Condvar::new(),
-                started: Clock::now(),
-                completed: Mutex::new(VecDeque::new()),
-                metrics: Mutex::new(metrics),
-            }),
+            shared: Arc::new(Shared::new(cfg, wake)),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -217,8 +245,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop socket errors (per-connection errors only
-    /// drop that connection).
+    /// Propagates errors of the listener itself, after draining. A failed
+    /// `accept` that belongs to one connection only skips it, and running
+    /// out of file descriptors backs off for 10 ms and retries.
     pub fn run(self) -> std::io::Result<()> {
         let shared = &self.shared;
         let shutdown = &self.shutdown;
@@ -243,48 +272,138 @@ impl Server {
                     .expect("spawn reaper");
             }
 
-            // Accept loop: polled so the external shutdown flag is honored
-            // even with no inbound traffic.
-            loop {
-                if self.shutdown.load(Ordering::Relaxed) {
-                    begin_drain(shared);
-                }
+            // Accept loop: blocks in `accept` until a client connects or
+            // `begin_drain` wakes it.
+            let result = loop {
                 if lock_inner(shared).draining {
-                    break;
+                    break Ok(());
                 }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let shared = Arc::clone(shared);
-                        let shutdown = Arc::clone(shutdown);
-                        // A failed spawn (thread exhaustion) drops the
-                        // stream, which closes this one connection; the
-                        // server itself keeps accepting.
-                        let _ = std::thread::Builder::new()
-                            .name("redbin-conn".into())
-                            .spawn_scoped(scope, move || {
-                                let _ = handle_connection(stream, &shared, &shutdown);
-                            });
+                let stream = match self.listener.accept() {
+                    Ok((stream, _peer)) => stream,
+                    Err(e) => match classify_accept_error(&e) {
+                        AcceptFailure::Listener => break Err(e),
+                        failure => {
+                            if failure == AcceptFailure::Exhausted {
+                                // Nothing can be accepted until some
+                                // connection closes.
+                                std::thread::sleep(Duration::from_millis(10));
+                            }
+                            lock_inner(shared).counters.accept_errors += 1;
+                            continue;
+                        }
+                    },
+                };
+                {
+                    let mut inner = lock_inner(shared);
+                    if inner.draining {
+                        break Ok(()); // drops the wake-up connection
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(e) => return Err(e),
+                    inner.counters.accepted += 1;
                 }
-            }
+                let shared = Arc::clone(shared);
+                let shutdown = Arc::clone(shutdown);
+                // A failed spawn (thread exhaustion) drops the stream,
+                // which closes this one connection; the server itself
+                // keeps accepting.
+                let _ = std::thread::Builder::new()
+                    .name("redbin-conn".into())
+                    .spawn_scoped(scope, move || {
+                        let _ = handle_connection(stream, &shared, &shutdown);
+                    });
+            };
 
-            // Drain: workers exit once the queue is empty and nothing runs.
-            shared.work.notify_all();
+            // Drain (already begun unless the listener failed): workers
+            // exit once the queue is empty and nothing runs.
+            begin_drain(shared);
             self.shutdown.store(true, Ordering::Relaxed); // reaper + conns exit
-            Ok(())
+            result
         })
     }
 }
 
-/// Puts the server into draining mode (idempotent).
+/// Puts the server into draining mode (idempotent). The first call also
+/// wakes the accept loop, blocked in `accept`, with one loopback
+/// connection that the loop drops.
 fn begin_drain(shared: &Shared) {
     let mut inner = lock_inner(shared);
+    if inner.draining {
+        return;
+    }
     inner.draining = true;
     shared.work.notify_all();
+    drop(inner);
+    // A failed connect means the listener is gone, so no accept waits.
+    let _ = TcpStream::connect_timeout(&shared.wake, Duration::from_secs(1));
+}
+
+/// The address [`begin_drain`] connects to: the listener's own, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by loopback of the same
+/// family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// What the accept loop does after `accept` fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// The error belongs to the one connection being accepted (the peer
+    /// reset or aborted it, a network error was pending on it, a signal
+    /// interrupted the call): skip it.
+    Connection,
+    /// Out of file descriptors or socket memory: back off, then retry.
+    Exhausted,
+    /// The listener itself failed: stop serving.
+    Listener,
+}
+
+/// Linux errno values `accept` returns that std has no stable
+/// [`std::io::ErrorKind`] for (see accept(2)).
+#[cfg(target_os = "linux")]
+mod errno {
+    pub const EPERM: i32 = 1;
+    pub const ENFILE: i32 = 23;
+    pub const EMFILE: i32 = 24;
+    pub const ENONET: i32 = 64;
+    pub const EPROTO: i32 = 71;
+    pub const ENOPROTOOPT: i32 = 92;
+    pub const EOPNOTSUPP: i32 = 95;
+    pub const ENOBUFS: i32 = 105;
+    pub const EHOSTDOWN: i32 = 112;
+}
+
+/// Sorts a failed `accept` into what the accept loop does about it.
+fn classify_accept_error(e: &std::io::Error) -> AcceptFailure {
+    use std::io::ErrorKind as K;
+    #[cfg(target_os = "linux")]
+    {
+        use errno::*;
+        match e.raw_os_error() {
+            Some(EMFILE | ENFILE | ENOBUFS) => return AcceptFailure::Exhausted,
+            // Network errors already pending on the new connection, and
+            // a firewall refusing it.
+            Some(ENONET | EPROTO | ENOPROTOOPT | EOPNOTSUPP | EHOSTDOWN | EPERM) => {
+                return AcceptFailure::Connection
+            }
+            _ => {}
+        }
+    }
+    match e.kind() {
+        K::ConnectionAborted
+        | K::ConnectionReset
+        | K::Interrupted
+        | K::WouldBlock
+        | K::TimedOut
+        | K::HostUnreachable
+        | K::NetworkUnreachable
+        | K::NetworkDown => AcceptFailure::Connection,
+        K::OutOfMemory => AcceptFailure::Exhausted,
+        _ => AcceptFailure::Listener,
+    }
 }
 
 /// Jobs not yet finished (queued + running) — reported in `bye`.
@@ -294,7 +413,7 @@ fn outstanding(inner: &Inner) -> u64 {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let (id, record_spec, cancelled, deadline, queued_ms) = {
+        let ((id, record_spec, cancelled, deadline, queued_ms), running) = {
             let mut inner = lock_inner(shared);
             loop {
                 if let Some(id) = inner.queue.pop_front() {
@@ -321,7 +440,7 @@ fn worker_loop(shared: &Shared) {
                         rec.queued_at.elapsed().as_millis() as u64,
                     );
                     inner.busy += 1;
-                    break out;
+                    break (out, inner.busy);
                 }
                 if inner.draining {
                     return;
@@ -335,7 +454,9 @@ fn worker_loop(shared: &Shared) {
         };
 
         let started = Clock::now();
-        let threads = shared.cfg.job_threads;
+        // The jobs running at once split the fan-out instead of each
+        // oversubscribing the cores; a lone job gets all of it.
+        let threads = (shared.cfg.job_threads / running).max(1);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             record_spec.run(threads, &cancelled)
         }));
@@ -411,11 +532,15 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Periodically expires queued jobs past their deadline and cancels late
-/// running jobs.
+/// Periodically turns a set shutdown flag into a drain, expires queued
+/// jobs past their deadline and cancels late running jobs.
 fn reaper_loop(shared: &Shared, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::Relaxed) {
+    loop {
         std::thread::sleep(Duration::from_millis(25));
+        if shutdown.load(Ordering::Relaxed) {
+            begin_drain(shared);
+            return;
+        }
         let mut inner = lock_inner(shared);
         let mut expired_ids = Vec::new();
         {
@@ -505,15 +630,39 @@ fn handle_connection(
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Room for the limit plus the newline: a line that fills it
+        // without one is over the limit.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => return Ok(()), // client hung up
+            Ok(_) if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
+                lock_inner(shared).counters.oversized += 1;
+                let message = format!(
+                    "request line exceeds MAX_REQUEST_LINE ({MAX_REQUEST_LINE} bytes); \
+                     closing the connection"
+                );
+                return send(&mut writer, &Response::Error { message });
+            }
             Ok(_) => {
-                let (response, drain_after) = handle_line(line.trim(), shared);
-                writer.write_all(response.to_line().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
+                let (response, drain_after) = match std::str::from_utf8(&line) {
+                    Ok(text) => handle_line(text.trim(), shared),
+                    Err(_) => (
+                        Response::Error {
+                            message: "request line is not UTF-8".into(),
+                        },
+                        false,
+                    ),
+                };
+                let sent = send(&mut writer, &response);
+                // Wake a worker for a queued job only once the reply is
+                // out: on a busy host the woken worker takes the core, and
+                // the submit would wait ~1 ms for its answer.
+                if matches!(response, Response::Accepted { state: JobState::Queued, .. }) {
+                    shared.work.notify_one();
+                }
+                sent?;
                 if drain_after {
                     begin_drain(shared);
                     return Ok(());
@@ -537,6 +686,15 @@ fn handle_connection(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Writes one envelope in a single `write_all`. Writing the line and its
+/// newline separately would let Nagle's algorithm hold the newline behind
+/// the peer's delayed ACK, ~40 ms per exchange on a reused connection.
+fn send(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+    let mut out = response.to_line();
+    out.push('\n');
+    writer.write_all(out.as_bytes())
 }
 
 /// Dispatches one request line; returns the response and whether the
@@ -658,7 +816,6 @@ fn handle_submit(spec: JobSpec, deadline_ms: Option<u64>, shared: &Shared) -> Re
     );
     inner.queue.push_back(id.clone());
     inner.counters.submitted += 1;
-    shared.work.notify_one();
     Response::Accepted {
         job: id,
         cache_hit: false,
@@ -844,6 +1001,9 @@ fn metrics_text(shared: &Shared) -> String {
     reg.add("jobs-expired", inner.counters.expired);
     reg.add("cache-hits", inner.cache.hits());
     reg.add("cache-misses", inner.cache.misses());
+    reg.add("connections-accepted", inner.counters.accepted);
+    reg.add("connections-accept-errors", inner.counters.accept_errors);
+    reg.add("requests-oversized", inner.counters.oversized);
     reg.set_gauge("uptime-seconds", shared.started.seconds());
     reg.set_gauge("queue-depth", inner.queue.len() as f64);
     reg.set_gauge("workers-busy", inner.busy as f64);
@@ -888,24 +1048,11 @@ mod tests {
     }
 
     fn test_shared() -> Shared {
-        let mut metrics = MetricsRegistry::new();
-        metrics.register_histogram("job-queue-ms", DEFAULT_TIME_BOUNDS_MS);
-        metrics.register_histogram("job-service-ms", DEFAULT_TIME_BOUNDS_MS);
-        Shared {
-            cfg: ServeConfig::default(),
-            inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                jobs: HashMap::new(),
-                cache: ResultCache::new(4),
-                counters: Counters::default(),
-                busy: 0,
-                draining: false,
-            }),
-            work: Condvar::new(),
-            started: Clock::now(),
-            completed: Mutex::new(VecDeque::new()),
-            metrics: Mutex::new(metrics),
-        }
+        let cfg = ServeConfig {
+            cache_capacity: 4,
+            ..ServeConfig::default()
+        };
+        Shared::new(cfg, SocketAddr::from(([127, 0, 0, 1], 0)))
     }
 
     #[test]
@@ -930,5 +1077,68 @@ mod tests {
         let text = metrics_text(&shared);
         assert!(text.contains("job-queue-ms-count 0"));
         assert!(text.contains("worker-utilization 0"));
+        assert!(text.contains("connections-accepted 0"));
+        assert!(text.contains("connections-accept-errors 0"));
+        assert!(text.contains("requests-oversized 0"));
+    }
+
+    #[test]
+    fn wake_address_maps_unspecified_to_loopback_of_the_same_family() {
+        let wake = |s: &str| wake_address(s.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
+        assert_eq!(wake("[fe80::1]:9"), "[fe80::1]:9");
+    }
+
+    #[test]
+    fn accept_errors_are_classified_by_kind() {
+        use std::io::{Error, ErrorKind as K};
+        let classify = |kind: K| classify_accept_error(&Error::from(kind));
+        for kind in [
+            K::ConnectionAborted,
+            K::ConnectionReset,
+            K::Interrupted,
+            K::WouldBlock,
+            K::TimedOut,
+            K::HostUnreachable,
+            K::NetworkUnreachable,
+            K::NetworkDown,
+        ] {
+            assert_eq!(classify(kind), AcceptFailure::Connection, "{kind:?}");
+        }
+        assert_eq!(classify(K::OutOfMemory), AcceptFailure::Exhausted);
+        for kind in [K::InvalidInput, K::PermissionDenied, K::Other, K::Unsupported] {
+            assert_eq!(classify(kind), AcceptFailure::Listener, "{kind:?}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn accept_errors_are_classified_by_linux_errno() {
+        use std::io::Error;
+        let classify = |code| classify_accept_error(&Error::from_raw_os_error(code));
+        // ENOMEM arrives through its kind.
+        for code in [errno::EMFILE, errno::ENFILE, errno::ENOBUFS, 12] {
+            assert_eq!(classify(code), AcceptFailure::Exhausted, "errno {code}");
+        }
+        // ECONNABORTED, EINTR, EAGAIN, ETIMEDOUT, ENETDOWN, ENETUNREACH,
+        // EHOSTUNREACH arrive through their kinds.
+        for code in [
+            103, 4, 11, 110, 100, 101, 113,
+            errno::ENONET,
+            errno::EPROTO,
+            errno::ENOPROTOOPT,
+            errno::EOPNOTSUPP,
+            errno::EHOSTDOWN,
+            errno::EPERM,
+        ] {
+            assert_eq!(classify(code), AcceptFailure::Connection, "errno {code}");
+        }
+        // EBADF, EINVAL, ENOTSOCK: the listener is broken.
+        for code in [9, 22, 88] {
+            assert_eq!(classify(code), AcceptFailure::Listener, "errno {code}");
+        }
     }
 }

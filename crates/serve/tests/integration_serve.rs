@@ -8,13 +8,22 @@
 //! * queue-full backpressure (`retry-after`, not a hang);
 //! * deadline-exceeded (expired while queued, and cancellation of a late
 //!   running job);
-//! * graceful shutdown draining in-flight jobs.
+//! * graceful shutdown draining in-flight jobs;
+//! * the serving path: a blocked `accept` wakes for every kind of
+//!   shutdown, one connection carries a whole job, a cached job costs well
+//!   under 10 ms, and an oversized request line is refused.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use redbin::json::Json;
 use redbin::wire::{ExperimentKind, JobSpec, JobState, Response};
 use redbin::workload::Scale;
+use redbin::wire::Request;
+use redbin_serve::server::MAX_REQUEST_LINE;
 use redbin_serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
@@ -416,7 +425,162 @@ fn external_shutdown_flag_drains_like_sigterm() {
     handle.join().expect("server thread").expect("clean exit");
 }
 
+/// Runs `server` on a background thread; the receiver gets what
+/// [`Server::run`] returned, so a test can bound how long it takes. The
+/// thread is left detached so that a `run()` that never returns fails the
+/// test instead of hanging it.
+fn run_in_background(server: Server) -> mpsc::Receiver<std::io::Result<()>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run());
+    });
+    rx
+}
+
+/// An idle server's `run()` returns within 2 s of its shutdown flag being
+/// set: the reaper turns the flag into a drain, and the drain wakes the
+/// accept loop blocked in `accept`.
+fn assert_flag_shutdown_is_prompt(bind: &str) {
+    let server = Server::bind(bind, ServeConfig::default()).expect("bind");
+    let flag = server.shutdown_flag();
+    let done = run_in_background(server);
+    flag.store(true, Ordering::Relaxed);
+    done.recv_timeout(Duration::from_secs(2))
+        .expect("run() returned within 2 s of the shutdown flag")
+        .expect("clean exit");
+}
+
+#[test]
+fn shutdown_flag_wakes_an_idle_loopback_server() {
+    assert_flag_shutdown_is_prompt("127.0.0.1:0");
+}
+
+#[test]
+fn shutdown_flag_wakes_an_idle_server_bound_to_the_unspecified_address() {
+    assert_flag_shutdown_is_prompt("0.0.0.0:0");
+}
+
+#[test]
+fn shutdown_envelope_wakes_an_idle_server() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let client = Client::new(server.local_addr().expect("addr").to_string());
+    let done = run_in_background(server);
+    assert_eq!(client.shutdown().expect("shutdown accepted"), 0);
+    done.recv_timeout(Duration::from_secs(2))
+        .expect("run() returned within 2 s of the shutdown envelope")
+        .expect("clean exit");
+}
+
+#[test]
+fn run_to_completion_uses_one_connection_per_job() {
+    let (mut client, handle) = start_server(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    client.poll_interval = Duration::from_millis(1);
+    // Read the counter over one held connection, so reading it opens none.
+    let mut session = Session::open(client.addr());
+    let before = session.counter("connections-accepted");
+    client
+        .run_to_completion(JobSpec::sleep(50), None, Duration::from_secs(60))
+        .expect("sleep job completes");
+    let after = session.counter("connections-accepted");
+    assert_eq!(after - before, 1, "submit, every poll and fetch share one connection");
+    drop(session);
+    shut_down(&client, handle);
+}
+
+#[test]
+fn cached_jobs_are_served_in_well_under_ten_ms_each() {
+    let (client, handle) = start_server(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let spec = JobSpec::sleep(1);
+    let (_, first, hit) = client
+        .run_to_completion(spec.clone(), None, Duration::from_secs(60))
+        .expect("first run fills the cache");
+    assert!(!hit);
+    // A 20 ms accept sleep or a ~40 ms Nagle stall per job would take
+    // these 50 jobs to a second or more.
+    let t = redbin::telemetry::Clock::now();
+    for _ in 0..50 {
+        let (_, body, hit) = client
+            .run_to_completion(spec.clone(), None, Duration::from_secs(60))
+            .expect("cached run completes");
+        assert!(hit, "served from the cache");
+        assert_eq!(body, first);
+    }
+    let total = t.elapsed();
+    assert!(
+        total < Duration::from_millis(500),
+        "50 cached jobs took {total:?}"
+    );
+    shut_down(&client, handle);
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_server_keeps_serving() {
+    let (client, handle) = start_server(ServeConfig::default());
+    let stream = TcpStream::connect(client.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    // 2 MiB and no newline. The server stops reading at the limit and
+    // closes, so the tail of this write may fail; that is expected.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]);
+    });
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).expect("an answer");
+    flood.join().expect("writer thread");
+    match Response::from_line(&line).expect("an envelope") {
+        Response::Error { message } => {
+            assert!(message.contains("MAX_REQUEST_LINE"), "{message}");
+            assert!(message.contains(&MAX_REQUEST_LINE.to_string()), "{message}");
+        }
+        other => panic!("expected an error envelope, got {other:?}"),
+    }
+    // Another client is still answered, and the refusal is counted.
+    assert!(client.stats().expect("stats still answered").get("jobs").is_some());
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.contains("requests-oversized 1"), "{metrics}");
+    shut_down(&client, handle);
+}
+
 // ---- helpers ---------------------------------------------------------------
+
+/// One held connection to a server, for requests whose own connection
+/// must not be counted.
+struct Session {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Session {
+    fn open(addr: &str) -> Session {
+        let stream = TcpStream::connect(addr).expect("connect");
+        Session {
+            writer: stream.try_clone().expect("clone stream"),
+            reader: BufReader::new(stream),
+        }
+    }
+
+    /// A counter's value from the server's `metrics` dump.
+    fn counter(&mut self, name: &str) -> u64 {
+        let mut out = Request::Metrics.to_line();
+        out.push('\n');
+        self.writer.write_all(out.as_bytes()).expect("write");
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read");
+        let Ok(Response::Metrics { text }) = Response::from_line(&line) else {
+            panic!("expected a metrics reply, got {line}");
+        };
+        let key = format!("{name} ");
+        text.lines()
+            .find_map(|l| l.strip_prefix(&key))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no counter {name} in {text}"))
+    }
+}
 
 /// Polls `stats` until `pred` holds (10 s cap — generous for CI).
 fn wait_until(client: &Client, pred: impl Fn(&Json) -> bool) {
@@ -451,8 +615,7 @@ fn poll_until_terminal(client: &Client, job: &str, timeout: Duration) -> JobStat
 /// Sends raw bytes and returns the first response line — for testing the
 /// server's handling of requests the typed client cannot produce.
 fn raw_exchange(addr: &str, payload: &str) -> String {
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(payload.as_bytes()).expect("write");
     stream.flush().expect("flush");
     let mut line = String::new();
